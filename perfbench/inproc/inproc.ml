@@ -23,7 +23,6 @@ module Pipeline = Conferr_repair.Pipeline
 module Generate = Conferr_repair.Generate
 module Validate = Conferr_repair.Validate
 module Finding = Conferr_lint.Finding
-module Outcome = Conferr.Outcome
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -175,6 +174,7 @@ let attempted = ref 0
 let generated = ref 0
 let repaired_total = ref 0
 let repair_runs = ref 0
+let validations = ref 0
 
 (* ------------------------------------------------------------------ *)
 (* Campaign layers                                                     *)
@@ -350,9 +350,12 @@ let daemon_layers ~dir ~suts ~seed ~n ~rate ~op_base =
 (* Repair layers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [conferr repair --journal] at --jobs 1, phase by phase: the same
-   calls Pipeline.run makes for each journal target.  Returns
-   (repaired, already clean, unrepaired, validations). *)
+(* [conferr repair --journal] at --jobs 1: one real [Pipeline.run] over
+   the journal's targets, then probes of its layers on the same targets
+   outside the span of the run.  Lint and candidate generation are
+   timed on every target that needs them, clustering on the target's
+   lint messages, and validation on the candidate the pipeline chose.
+   Fails unless the pipeline reports 150 repaired, 18 already clean. *)
 let repair ~sut ~journal ~seed =
   let nearest = Conferr.Suggest.nearest in
   let rules = Option.get (Suts.Lint_rules.for_sut sut.Suts.Sut.sut_name) in
@@ -366,73 +369,39 @@ let repair ~sut ~journal ~seed =
     span "repair.targets" (fun () ->
         Pipeline.journal_targets ~scenarios ~stock entries)
   in
-  let repaired = ref 0 and clean = ref 0 and unrepaired = ref 0 in
-  let validated = ref 0 in
-  List.iter
-    (fun (tg : Pipeline.target) ->
+  let result =
+    span "repair.run" (fun () -> Pipeline.run ~jobs:1 ~nearest ~sut ~rules ~stock targets)
+  in
+  let r, c, u, k = Pipeline.counts result in
+  if (r, c, u, k) <> (150, 18, 0, 0) then
+    failwith (Printf.sprintf "repair reported %d/%d/%d/%d" r c u k);
+  validations := !validations + result.validated;
+  repaired_total := !repaired_total + r;
+  incr repair_runs;
+  List.iter2
+    (fun (tg : Pipeline.target) (rp : Pipeline.repair) ->
       match tg.tg_config with
-      | Error _ -> incr unrepaired
+      | Error _ -> ()
       | Ok broken ->
         let typed =
-          span "checker.lint" (fun () ->
-              Generate.typed_findings ~nearest ~rules broken)
+          span "checker.lint" (fun () -> Generate.typed_findings ~nearest ~rules broken)
         in
-        let warnings =
-          List.filter
-            (fun (_, (f : Finding.t)) ->
-              Finding.at_least ~threshold:Finding.Warning f.severity)
-            typed
-        in
-        let outcome = Option.value ~default:Outcome.Passed tg.tg_outcome in
-        if warnings = [] && outcome = Outcome.Passed then incr clean
-        else begin
-          let messages =
-            List.map (fun (_, (f : Finding.t)) -> f.message) warnings
-            @ (match outcome with
-               | Outcome.Startup_failure m -> [ m ]
-               | Outcome.Test_failure ms -> ms
-               | Outcome.Crashed c -> [ Outcome.crash_summary c ]
-               | Outcome.Passed | Outcome.Not_applicable _ -> [])
-          in
-          let clusters =
-            span "cluster" (fun () ->
-                Conferr_repair.Cluster.candidates ~stock ~broken ~messages ())
-          in
-          let generated =
-            span "generate.candidates" (fun () ->
-                Generate.candidates ~nearest ~sut ~rules ~stock ~broken ())
-          in
-          let ranked =
-            span "repair.rank" (fun () ->
-                List.fold_left
-                  (fun acc (c : Generate.candidate) ->
-                    if List.exists (fun (c' : Generate.candidate) -> c'.edits = c.edits) acc
-                    then acc
-                    else c :: acc)
-                  [] (clusters @ generated)
-                |> List.rev
-                |> List.stable_sort (fun (a : Generate.candidate) b ->
-                       compare
-                         (Conferr_repair.Redit.total_cost ~broken a.edits)
-                         (Conferr_repair.Redit.total_cost ~broken b.edits))
-                |> List.filteri (fun i _ -> i < 24))
-          in
-          let verdicts =
-            List.map
-              (fun c ->
-                incr validated;
-                span "validate" (fun () -> Validate.check ~nearest ~sut ~rules ~broken c))
-              ranked
-          in
-          if List.exists Validate.ok verdicts then incr repaired else incr unrepaired
-        end)
-    targets;
-  if !tracing then begin
-    repaired_total := !repaired_total + !repaired;
-    incr repair_runs
-  end;
-  (!repaired, !clean, !unrepaired, !validated)
-
+        if rp.r_status <> Pipeline.Already_clean then begin
+          let messages = List.map (fun (_, (f : Finding.t)) -> f.message) typed in
+          ignore
+            (span "cluster" (fun () ->
+                 Conferr_repair.Cluster.candidates ~stock ~broken ~messages ()));
+          ignore
+            (span "generate.candidates" (fun () ->
+                 Generate.candidates ~nearest ~sut ~rules ~stock ~broken ()))
+        end;
+        Option.iter
+          (fun (v : Validate.verdict) ->
+            ignore
+              (span "validate" (fun () ->
+                   Validate.check ~nearest ~sut ~rules ~broken v.candidate)))
+          rp.r_chosen)
+    targets result.repairs
 
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
@@ -486,23 +455,27 @@ let () =
      repair outcome (150 repaired, 18 already clean) the tests lock. *)
   let pg42 = Filename.concat dir "pg42.jsonl" in
   let record_pg42 () = campaign ~sut:pg ~seed:42 ~jobs:1 ~journal:pg42 in
-  let closed_daemon sut k =
-    daemon_layers ~dir ~suts:(fun _ -> sut) ~seed ~n:k ~rate:0. ~op_base:1000
-  in
-  (* Other workloads' repair layers: one repair of the seed-42 journal,
-     recorded untraced so that its campaign does not count as theirs. *)
+  (* Every workload's repair layers: one repair of the seed-42 journal,
+     recorded untraced so that its campaign does not count as the
+     workload's.  It counts as an operation, outside the timed ones. *)
   let repair_once () =
+    incr attempted;
     tracing := false;
-    ignore (record_pg42 ());
-    tracing := true;
-    ignore (repair ~sut:pg ~journal:pg42 ~seed:42)
+    match
+      ignore (record_pg42 ());
+      tracing := true;
+      repair ~sut:pg ~journal:pg42 ~seed:42
+    with
+    | () -> ()
+    | exception e ->
+      tracing := true;
+      Printf.eprintf "inproc: repair failed: %s\n%!" (Printexc.to_string e);
+      incr failed
   in
   let (plain, traced), (retained, admit_self, _) =
     match !workload with
-    | ("profile-pg" | "profile-apache-j2") as w ->
-      let sut, jobs =
-        if w = "profile-pg" then (pg, 1) else (sut_named "apache", 2)
-      in
+    | "profile-apache-j2" ->
+      let sut = sut_named "apache" and jobs = 2 in
       let last = ref None in
       let times =
         replay ~ops
@@ -513,7 +486,9 @@ let () =
           (fun i ->
             last := Some (campaign ~sut ~seed:(seed + i) ~jobs ~journal:(journal i)))
       in
-      let daemon = closed_daemon sut.Suts.Sut.sut_name (if jobs = 1 then 6 else 3) in
+      let daemon =
+        daemon_layers ~dir ~suts:(fun _ -> "apache") ~seed ~n:3 ~rate:0. ~op_base:1000
+      in
       repair_once ();
       (times, daemon)
     | "serve-open" ->
@@ -532,16 +507,6 @@ let () =
         serve_mix;
       repair_once ();
       ((plain, traced), daemon)
-    | "repair-pg" ->
-      let got = record_pg42 () in
-      campaign_layers ~dir ~sut:pg ~seed:42 ~journal:pg42 got;
-      let times =
-        replay ~ops (fun _ ->
-            let r, c, u, _ = repair ~sut:pg ~journal:pg42 ~seed:42 in
-            if (r, c, u) <> (150, 18, 0) then
-              failwith (Printf.sprintf "repair reported %d/%d/%d" r c u))
-      in
-      (times, closed_daemon "postgres" 6)
     | w -> failwith ("unknown workload " ^ w)
   in
   write_trace !out;
@@ -550,7 +515,7 @@ let () =
     total "scenario.apply" +. total "engine.serialize" +. total "sandbox.boot"
   in
   let scenarios = float_of_int (max 1 (count "scenario.apply")) in
-  let validations = float_of_int (count "validate") in
+  let validations = float_of_int !validations in
   let p50 xs = percentile 0.5 xs in
   let metrics =
     [
@@ -579,6 +544,7 @@ let () =
         ms (percentile 0.9 (List.map dur (named "scheduler.queue_wait"))) );
       ("daemon.execute_ms_p50", median_ms "daemon.execute");
       ("daemon.campaigns_retained", float_of_int retained);
+      ("repair.run_ms", median_ms "repair.run");
       ("checker.lint_us_per_target", mean_us "checker.lint");
       ( "generate.candidates_ms_per_target",
         ms (total "generate.candidates") /. float_of_int (max 1 (count "generate.candidates")) );

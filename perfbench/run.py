@@ -7,7 +7,7 @@ Run from the root of a checkout:
     python3 perfbench/run.py --workload W --seed N --seconds S --steady 10
 
 With --trace 0 every operation goes through the CLI (one process per
-campaign or repair, or `conferr serve` over loopback HTTP) and the
+campaign, or `conferr serve` over loopback HTTP) and the
 end-to-end metrics are printed.  With --trace 1 the in-process replay
 (perfbench/inproc) records spans around each layer and the per-layer
 metrics are printed.  --steady N runs the workload N times with seeds
@@ -30,7 +30,7 @@ import sys
 import threading
 import time
 
-BUILD = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
+BUILD = ".bench_build"
 OUT = ".bench_out"
 BIN = os.path.join(BUILD, "default", "bin", "main.exe")
 INPROC = os.path.join(BUILD, "default", "perfbench", "inproc", "inproc.exe")
@@ -41,18 +41,13 @@ INPROC = os.path.join(BUILD, "default", "perfbench", "inproc", "inproc.exe")
 SCENARIOS = {"postgres": 168, "mysql": 214, "djbdns": 211, "appserver": 126,
              "apache": 785}
 SERVE_MIX = ["postgres", "mysql", "djbdns", "appserver"]  # as in inproc.ml
-REPAIR_EXPECTED = (150, 18, 0, 0)  # repaired, clean, unrepairable, skipped
-REPAIR_SEED = 42
 
 # Operations per run are fixed per workload: ops = per_s * --seconds.
 # trace_ops is the operation count of the in-process traced replay.
 WORKLOADS = {
-    "profile-pg": dict(kind="profile", sut="postgres", jobs=1, per_s=20.0,
-                       trace_ops=10),
     "profile-apache-j2": dict(kind="profile", sut="apache", jobs=2,
                               per_s=2.7, trace_ops=5),
     "serve-open": dict(kind="serve", rate=6.0, per_s=6.0, trace_ops=24),
-    "repair-pg": dict(kind="repair", per_s=1.08, trace_ops=3),
 }
 SETUP_REPS = 15
 POLL_S = 0.005  # serve-open: pause between status sweeps
@@ -191,12 +186,23 @@ class Run:
 # Workloads through the CLI
 # ---------------------------------------------------------------------
 
-def profile_setup(rundir, wl, _rep):
-    # the baseline: the SUT's stock configuration lints clean
-    code, _, _, out, _ = run_cli(["lint", "--sut", wl["sut"]], rundir, "setup")
-    if code != 0 or out.strip() != "no findings":
-        raise RuntimeError("the stock configuration of %s does not lint "
-                           "clean" % wl["sut"])
+def check_suts(rundir):
+    """Every SUT the benchmark drives is in the catalog, and its stock
+    configuration, the baseline the faultloads are injected into, lints
+    clean."""
+    code, _, _, out, _ = run_cli(["list-suts"], rundir, "setup")
+    listed = {line.split()[0] for line in out.splitlines() if line.strip()}
+    if code != 0 or not listed >= set(SCENARIOS):
+        raise RuntimeError("conferr list-suts lacks a benchmarked SUT")
+    for sut in SCENARIOS:
+        code, _, _, out, _ = run_cli(["lint", "--sut", sut], rundir, "setup")
+        if code != 0 or out.strip() != "no findings":
+            raise RuntimeError(f"the stock configuration of {sut} does not "
+                               "lint clean")
+
+
+def profile_setup(rundir, _wl, _rep):
+    check_suts(rundir)
 
 
 def profile_loop(rundir, wl, seed, ops, _daemon):
@@ -224,39 +230,6 @@ def profile_loop(rundir, wl, seed, ops, _daemon):
                 run.op(True, dt * 1000, total)
         if os.path.exists(journal):
             os.remove(journal)
-    return run
-
-
-def repair_setup(rundir, _wl, _rep):
-    journal = os.path.join(rundir, "repair-input.jsonl")
-    total = SCENARIOS["postgres"]
-    code, _, _, out, _ = run_cli(
-        ["profile", "--sut", "postgres", "--seed", str(REPAIR_SEED),
-         "--journal", journal], rundir, "setup")
-    if code != 0 or not journal_ok(journal, total):
-        raise RuntimeError("could not record the postgres repair journal")
-
-
-def repair_loop(rundir, _wl, _seed, ops, _daemon):
-    # the input is the seed-42 journal recorded in setup, whatever the seed
-    run = Run()
-    journal = os.path.join(rundir, "repair-input.jsonl")
-    for i in range(ops):
-        code, dt, rss, out, err = run_cli(
-            ["repair", "--sut", "postgres", "--seed", str(REPAIR_SEED),
-             "--journal", journal], rundir, "op")
-        run.rss = max(run.rss, rss)
-        m = re.search(r"(\d+) repaired, (\d+) already clean, (\d+) "
-                      r"unrepairable, (\d+) skipped \((\d+) candidate", out)
-        if code != 0:
-            last = (err.strip().splitlines() or ["(no output)"])[-1]
-            run.op(False, 0, why=f"op {i}: exit {code}: {last}",
-                   exit_ok=False)
-        elif not m or tuple(map(int, m.groups()[:4])) != REPAIR_EXPECTED:
-            run.op(False, 0, why=f"op {i}: summary {m and m.group(0)}")
-        else:
-            run.extra["validations"] = int(m.group(5))
-            run.op(True, dt * 1000, SCENARIOS["postgres"])
     return run
 
 
@@ -310,6 +283,12 @@ class Daemon:
         return code, rss
 
 
+def serve_setup(rundir, _wl, rep):
+    """check_suts, then a fresh daemon that answers /healthz."""
+    check_suts(rundir)
+    return Daemon(rundir, rep)
+
+
 def serve_loop(_rundir, wl, seed, ops, daemon):
     """Open loop: submission i is due at start + i/rate; each campaign is
     timed from its due time to the poll that sees it terminal."""
@@ -329,7 +308,7 @@ def serve_loop(_rundir, wl, seed, ops, daemon):
             wait = s["due"] - time.perf_counter()
             if wait > 0:
                 time.sleep(wait)
-            t = time.perf_counter()
+            t = s["sent"] = time.perf_counter()
             s["late"] = t - s["due"]
             body = json.dumps({"sut": s["sut"], "seed": s["seed"]})
             conn.request("POST", "/campaigns", body,
@@ -397,9 +376,10 @@ def serve_loop(_rundir, wl, seed, ops, daemon):
     if code != 0:
         run.notes.append(f"conferr serve exited {code}")
         run.wrong += 1
-    ends = [s["end"] for s in subs if "end" in s]
-    # open loop: from the first due time to the last terminal status
-    run.wall = (max(ends) if ends else time.perf_counter()) - start
+    # Open loop: the arrival window is fixed by the rate, so throughput
+    # is over the time at least one campaign was in flight (sent to
+    # terminal status), which grows when the program slows down.
+    run.wall = busy_time([(s["sent"], s["end"]) for s in subs if "end" in s])
     submits = [s["submit"] * 1000 for s in subs if "submit" in s]
     run.extra["submit_ms_p50"] = percentile(submits, 0.5)
     run.extra["submit_ms_p90"] = percentile(submits, 0.9)
@@ -408,11 +388,21 @@ def serve_loop(_rundir, wl, seed, ops, daemon):
     return run
 
 
+def busy_time(intervals):
+    """Length of the union of (start, end) intervals."""
+    busy, edge = 0.0, float("-inf")
+    for a, b in sorted(intervals):
+        a = max(a, edge)
+        if b > a:
+            busy += b - a
+            edge = b
+    return busy
+
+
 # set-up (returns the daemon, if any) and measured loop of each kind
 KINDS = {
     "profile": (profile_setup, profile_loop),
-    "repair": (repair_setup, repair_loop),
-    "serve": (lambda rundir, wl, rep: Daemon(rundir, rep), serve_loop),
+    "serve": (serve_setup, serve_loop),
 }
 
 
@@ -492,10 +482,6 @@ def traced(name, seed, rundir):
     layers["bin.cli_overhead_ms"] = percentile(run.latencies, 0.5) - inproc_p50
     layers["ops.attempted"] += run.attempted
     layers["ops.failed"] += run.failed
-    if name == "repair-pg" and run.extra.get("validations") != layers["validate.calls"]:
-        run.notes.append("in-process replay validated %s candidates, the CLI %s"
-                         % (layers["validate.calls"], run.extra.get("validations")))
-        run.wrong += 1
     run.attempted = int(layers["ops.attempted"])
     run.failed = int(layers["ops.failed"])
     log(f"perfbench: trace written to {trace_path}")
