@@ -474,8 +474,8 @@ let () =
   in
   let (plain, traced), (retained, admit_self, _) =
     match !workload with
-    | "profile-apache-j2" ->
-      let sut = sut_named "apache" and jobs = 2 in
+    | "profile-apache" ->
+      let sut = sut_named "apache" and jobs = 1 in
       let last = ref None in
       let times =
         replay ~ops
