@@ -1141,12 +1141,112 @@ let print_journal_throughput () =
        ]);
   print_newline ()
 
+(* ------------------------------------------------------------------ *)
+(* Scenario generation: Campaign.typo_scenarios per SUT                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The paper's §5.2 faultload generated from scratch for each SUT.
+   Every rep is one fresh typo_scenarios call, so each one builds its
+   own typo pools (cold); only code and heap are warm.  Measure with a
+   release build:
+
+     dune exec --profile release bench/main.exe -- generate
+
+   BENCH_generate.json is a ledger keyed by source revision: a run
+   replaces the entry of its own revision and keeps the others, so the
+   numbers before and after a change to the generator sit side by side.
+   The revision gets a "+dirty" suffix when lib/ or bin/ differ from it. *)
+let generate_reps = 15
+
+let shell_line cmd =
+  let ic = Unix.open_process_in cmd in
+  let line = try Some (input_line ic) with End_of_file -> None in
+  match (Unix.close_process_in ic, line) with
+  | Unix.WEXITED 0, Some l -> Some l
+  | _ -> None
+
+let source_rev () =
+  match shell_line "git rev-parse --short HEAD 2>/dev/null" with
+  | None -> "unknown"
+  | Some rev ->
+    if Sys.command "git diff --quiet HEAD -- lib bin 2>/dev/null" = 0 then rev
+    else rev ^ "+dirty"
+
+let print_generate () =
+  print_endline "=== Scenario generation (typo faultload of section 5.2) ===\n";
+  let rev = source_rev () in
+  let cores = Domain.recommended_domain_count () in
+  Printf.printf "  rev %s, %d cores, OCaml %s, %d reps per SUT\n" rev cores
+    Sys.ocaml_version generate_reps;
+  let per_sut =
+    List.map
+      (fun (sut : Suts.Sut.t) ->
+        let base =
+          match Conferr.Engine.parse_default_config sut with
+          | Ok base -> base
+          | Error msg -> failwith msg
+        in
+        let generate () =
+          Conferr.Campaign.typo_scenarios
+            ~rng:(Conferr_util.Rng.create seed)
+            ~faultload:Conferr.Campaign.paper_faultload sut base
+        in
+        let n = List.length (generate ()) in
+        let times =
+          List.init generate_reps (fun _ ->
+              let t0 = Unix.gettimeofday () in
+              ignore (generate ());
+              (Unix.gettimeofday () -. t0) *. 1e3)
+          |> List.sort compare
+        in
+        let median = List.nth times (generate_reps / 2) in
+        let lo = List.hd times and hi = List.nth times (generate_reps - 1) in
+        Printf.printf "  %-10s %4d scenarios  median %8.2f ms  (min %.2f, max %.2f)  %6.1f us/scenario\n%!"
+          sut.sut_name n median lo hi (1e3 *. median /. float_of_int n);
+        Json.Obj
+          [
+            ("sut", Json.Str sut.sut_name);
+            ("scenarios", Json.Num (float_of_int n));
+            ("ms_median", Json.Num median);
+            ("ms_min", Json.Num lo);
+            ("ms_max", Json.Num hi);
+          ])
+      Suts.Catalog.all
+  in
+  let path = "BENCH_generate.json" in
+  let earlier =
+    match In_channel.with_open_bin path In_channel.input_all |> Json.of_string with
+    | Ok doc ->
+      (match Json.member "runs" doc with
+       | Some (Json.Arr runs) ->
+         List.filter
+           (fun r -> Option.bind (Json.member "rev" r) Json.str <> Some rev)
+           runs
+       | _ -> [])
+    | Error _ | (exception Sys_error _) -> []
+  in
+  let run =
+    Json.Obj
+      [
+        ("rev", Json.Str rev);
+        ("cores", Json.Num (float_of_int cores));
+        ("ocaml", Json.Str Sys.ocaml_version);
+        ("reps", Json.Num (float_of_int generate_reps));
+        ("seed", Json.Num (float_of_int seed));
+        ("suts", Json.Arr per_sut);
+      ]
+  in
+  write_artifact path
+    (Json.Obj [ ("bench", Json.Str "generate"); ("runs", Json.Arr (earlier @ [ run ])) ]);
+  print_newline ()
+
 (* Each measured section is addressable on its own — `bench/main.exe
-   serve` (or executor, sandbox, tracer, adaptive, lint, infer)
+   serve` (or generate, executor, sandbox, tracer, adaptive, lint, infer)
    regenerates just that section and its BENCH_*.json artifact without
    the (slow) full sweep. *)
 let sections =
   [
+    ("generate", print_generate);
     ("executor", print_executor_scaling);
     ("sandbox", print_sandbox_overhead);
     ("tracer", print_tracer_overhead);

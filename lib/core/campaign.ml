@@ -58,7 +58,7 @@ let is_field_attr (node : Node.t) (key, value) =
     || key = "type" || key = "ttl"
   else node.kind = Node.kind_element
 
-let typo_scenario ~file ~path ~part rng (node : Node.t) =
+let typo_scenario ~sample ~file ~path ~part rng (node : Node.t) =
   let target =
     match part with
     | `Name -> if node.name = "" then None else Some (`Name, node.name)
@@ -74,7 +74,7 @@ let typo_scenario ~file ~path ~part rng (node : Node.t) =
   match target with
   | None -> None
   | Some (slot, w) ->
-    (match Typo.random_any rng w with
+    (match sample rng w with
      | None -> None
      | Some (mutated, what) ->
        let mutated_node =
@@ -92,7 +92,7 @@ let typo_scenario ~file ~path ~part rng (node : Node.t) =
                  (Path.to_string path))
             (Scenario.edit_in_file ~file (fun t -> Node.replace t path mutated_node))))
 
-let section_typo_scenarios ~rng ~faultload ~file ~part directives =
+let section_typo_scenarios ~sample ~rng ~faultload ~file ~part directives =
   let eligible =
     match part with
     | `Name -> List.filter (fun (_, (n : Node.t)) -> n.name <> "") directives
@@ -106,12 +106,14 @@ let section_typo_scenarios ~rng ~faultload ~file ~part directives =
   List.concat_map
     (fun (path, node) ->
       List.init faultload.typos_per_directive (fun _ ->
-          typo_scenario ~file ~path ~part rng node)
+          typo_scenario ~sample ~file ~path ~part rng node)
       |> List.filter_map Fun.id)
     chosen
 
 let typo_scenarios ~rng ~faultload (sut : Suts.Sut.t) set =
   ignore sut;
+  (* one typo pool per word for the whole call; the sampler dies with it *)
+  let sample = Typo.sampler () in
   Config_set.to_list set
   |> List.concat_map (fun (file, tree) ->
          let deletions =
@@ -134,7 +136,7 @@ let typo_scenarios ~rng ~faultload (sut : Suts.Sut.t) set =
          let typos part =
            List.concat_map
              (fun (_, directives) ->
-               section_typo_scenarios ~rng ~faultload ~file ~part directives)
+               section_typo_scenarios ~sample ~rng ~faultload ~file ~part directives)
              sections
          in
          deletions @ typos `Name @ typos `Value)

@@ -12,7 +12,8 @@
     - transposition: two adjacent characters swap
 
     Mutations are enumerated exhaustively ({!variants}) or sampled
-    ({!random_variant}); the plugin entry points instantiate the abstract
+    ({!sampler}, {!random_variant}); both go through the same enumerator
+    of the typo space.  The plugin entry points instantiate the abstract
     modify template over directive names or values. *)
 
 type kind = Omission | Insertion | Substitution | Case_alteration | Transposition
@@ -36,11 +37,31 @@ val random_variant :
   (string * string) option
 (** One uniformly-chosen variant of that kind, if any exists. *)
 
+val sampler :
+  ?layout:Keyboard.Layout.t -> unit -> Conferr_util.Rng.t -> string ->
+  (string * string) option
+(** [sampler () rng word] draws one variant uniformly from the union of
+    all kinds' variants of [word], described as ["<kind>: <what>"] —
+    kinds with more concrete slips are proportionally likelier, as when
+    sampling the typo space itself.
+
+    {b Scope.} [sampler ()] makes a fresh table that holds each word's
+    typo pool from its first draw on, so repeated draws for the same
+    word cost one array index.  Create one sampler per generation call
+    and let it go with the call: the table grows with every distinct
+    word and is not safe to share between threads or domains.
+
+    {b RNG contract.} Each draw consumes exactly what
+    [Rng.pick_opt rng pool] would on the pool as a list: one
+    [Rng.int rng (pool length)] when the pool is non-empty, nothing when
+    it is empty.  The pool is the concatenation, in {!all_kinds} order,
+    of each kind's {!variants}, so results and RNG state after a draw do
+    not depend on what the sampler drew before. *)
+
 val random_any :
   ?layout:Keyboard.Layout.t -> Conferr_util.Rng.t -> string -> (string * string) option
-(** One variant drawn uniformly from the union of all kinds' variants —
-    kinds with more concrete slips are proportionally likelier, as when
-    sampling the typo space itself. *)
+(** One draw from a fresh {!sampler}: the same result and RNG state as
+    [sampler ?layout () rng word]. *)
 
 val random_kind_first :
   ?layout:Keyboard.Layout.t -> Conferr_util.Rng.t -> string -> (string * string) option

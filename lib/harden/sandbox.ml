@@ -52,12 +52,6 @@ let fuel_left () =
 (* Exception containment                                             *)
 (* --------------------------------------------------------------- *)
 
-let backtraces =
-  lazy
-    ((* one-time switch so crash records carry a backtrace; cheap enough
-        to leave on for the whole process *)
-     Printexc.record_backtrace true)
-
 let crashed ~phase cause =
   Outcome.Crashed { cause; phase; backtrace = Printexc.get_backtrace () }
 
@@ -71,7 +65,10 @@ let classify_exn ~phase = function
    (doc/obsv.md); [Span.null] makes every wrap a plain call, so the
    untraced path is unchanged. *)
 let boot_and_test ?fuel ?(probe = Span.null) (sut : Suts.Sut.t) files =
-  Lazy.force backtraces;
+  (* Crash records carry a backtrace.  The switch is per domain, so it
+     is thrown on the domain that runs this call, every call: a domain
+     spawned after another one switched it on starts with it off. *)
+  Printexc.record_backtrace true;
   with_fuel fuel (fun () ->
       match probe.Span.wrap Span.Spawn (fun () -> sut.Suts.Sut.boot files) with
       | exception exn -> classify_exn ~phase:Outcome.Boot exn

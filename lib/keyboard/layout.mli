@@ -16,12 +16,17 @@ type key = {
   shifted : char option;
 }
 
-type t = { name : string; keys : key list }
+type t
+(** A layout together with its per-character key and adjacency tables,
+    both computed once by {!make}. *)
 
 val make : name:string -> (int * float * string * string) list -> t
 (** [make ~name rows] builds a layout from row specs
     [(row_index, start_column, unshifted_chars, shifted_chars)]; the two
-    strings must have equal length, each position is one key. *)
+    strings must have equal length, each position is one key.  Keys
+    whose centres lie within 1.35 key-widths of each other are adjacent. *)
+
+val name : t -> string
 
 val us_qwerty : t
 (** Standard US ANSI layout. *)
@@ -39,14 +44,15 @@ type modifier = Plain | Shifted
 
 val find : t -> char -> (key * modifier) option
 (** The key and modifier combination that produces the character, if the
-    layout can type it. *)
+    layout can type it (the first key in row order, unshifted binding
+    first, when several do). *)
 
-val neighbors : ?radius:float -> t -> char -> char list
+val neighbors : t -> char -> char list
 (** [neighbors t c] lists the characters produced by pressing keys
     adjacent to [c]'s key while holding [c]'s modifiers.  Characters a
     neighbouring key cannot produce under those modifiers are omitted.
     Result is deduplicated, never contains [c], sorted for determinism.
-    [radius] defaults to 1.35 key-widths. *)
+    A table lookup: the lists are computed by {!make}. *)
 
 val shift_variant : t -> char -> char option
 (** The character the same key yields with Shift toggled; [None] when the

@@ -15,7 +15,9 @@ type t = { lock : Mutex.t; fams : (string, fam) Hashtbl.t }
 
 let create () = { lock = Mutex.create (); fams = Hashtbl.create 32 }
 
-let default_ms_buckets = List.init 19 (fun i -> 0.0625 *. Float.of_int (1 lsl i))
+(* 1 us to 16.8 s: per-stage costs here are 1-250 us, campaigns up to
+   seconds. *)
+let default_ms_buckets = List.init 25 (fun i -> 0.001 *. Float.of_int (1 lsl i))
 
 let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Histogram -> "histogram"
 
@@ -138,13 +140,20 @@ type sample = {
 }
 
 (* Exact decimal rendering: integers print bare, everything else with
-   enough digits that [float_of_string] recovers the same float. *)
+   the fewest digits (15 to 17) from which [float_of_string] recovers
+   the same float. *)
 let fmt v =
   if v = Float.infinity then "+Inf"
   else if v = Float.neg_infinity then "-Inf"
   else if Float.is_nan v then "NaN"
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+  else
+    let exact s = float_of_string s = v in
+    let s15 = Printf.sprintf "%.15g" v in
+    if exact s15 then s15
+    else
+      let s16 = Printf.sprintf "%.16g" v in
+      if exact s16 then s16 else Printf.sprintf "%.17g" v
 
 let sorted_fams t =
   Hashtbl.fold (fun name f acc -> (name, f) :: acc) t.fams [] |> List.sort compare

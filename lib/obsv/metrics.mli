@@ -30,7 +30,8 @@ val declare : ?help:string -> ?buckets:float list -> t -> kind -> string -> unit
 
 val default_ms_buckets : float list
 (** The log-2 millisecond ladder used for duration histograms:
-    [0.0625, 0.125, 0.25, …, 16384] (a [+Inf] bucket is implicit). *)
+    [0.001, 0.002, 0.004, …, 16777.216] — 1 us to 16.8 s in 25 buckets
+    (a [+Inf] bucket is implicit). *)
 
 val inc : ?by:float -> ?labels:(string * string) list -> t -> string -> unit
 (** Increment a counter (auto-declared on first use).  [by] defaults

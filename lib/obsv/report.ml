@@ -130,7 +130,7 @@ let bucketize values =
     values;
   let labeled =
     List.mapi (fun i bound -> (Printf.sprintf "\xe2\x89\xa4%s" (fnum bound), Float.of_int counts.(i))) bounds
-    @ [ (">16s", Float.of_int counts.(List.length bounds)) ]
+    @ [ (Printf.sprintf ">%.3gs" (List.nth bounds (List.length bounds - 1) /. 1000.), Float.of_int counts.(List.length bounds)) ]
   in
   (* keep the contiguous run from the first to the last non-empty bucket *)
   let arr = Array.of_list labeled in

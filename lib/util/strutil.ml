@@ -16,23 +16,36 @@ let trim = String.trim
 
 let lowercase = String.lowercase_ascii
 
+(* The four one-character edits copy [s] once into a fresh buffer. *)
 let insert_char s i c =
-  if i < 0 || i > String.length s then invalid_arg "Strutil.insert_char";
-  String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i)
+  let n = String.length s in
+  if i < 0 || i > n then invalid_arg "Strutil.insert_char";
+  let b = Bytes.create (n + 1) in
+  Bytes.blit_string s 0 b 0 i;
+  Bytes.set b i c;
+  Bytes.blit_string s i b (i + 1) (n - i);
+  Bytes.unsafe_to_string b
 
 let delete_char s i =
-  if i < 0 || i >= String.length s then invalid_arg "Strutil.delete_char";
-  String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1)
+  let n = String.length s in
+  if i < 0 || i >= n then invalid_arg "Strutil.delete_char";
+  let b = Bytes.create (n - 1) in
+  Bytes.blit_string s 0 b 0 i;
+  Bytes.blit_string s (i + 1) b i (n - i - 1);
+  Bytes.unsafe_to_string b
 
 let replace_char s i c =
   if i < 0 || i >= String.length s then invalid_arg "Strutil.replace_char";
-  String.mapi (fun j ch -> if j = i then c else ch) s
+  let b = Bytes.of_string s in
+  Bytes.set b i c;
+  Bytes.unsafe_to_string b
 
 let swap_chars s i =
   if i < 0 || i + 1 >= String.length s then invalid_arg "Strutil.swap_chars";
-  String.mapi
-    (fun j ch -> if j = i then s.[i + 1] else if j = i + 1 then s.[i] else ch)
-    s
+  let b = Bytes.of_string s in
+  Bytes.set b i s.[i + 1];
+  Bytes.set b (i + 1) s.[i];
+  Bytes.unsafe_to_string b
 
 let levenshtein a b =
   let la = String.length a and lb = String.length b in

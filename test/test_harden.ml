@@ -106,6 +106,42 @@ let test_sandbox_boot_crash () =
       (Conferr_util.Strutil.contains_substring ~needle:"scripted boot crash" msg)
   | o -> Alcotest.failf "expected boot crash, got %s" (Outcome.label o)
 
+(* Backtrace recording is a per-domain switch: a pool worker domain
+   starts with it off, so the sandbox must throw it on the domain that
+   runs each call. *)
+let test_sandbox_backtraces_on_worker_domains () =
+  let main = (Domain.self () :> int) in
+  let sut =
+    {
+      (scripted_sut [ `Pass ]) with
+      Suts.Sut.boot =
+        (fun _ ->
+          Ok
+            {
+              Suts.Sut.run_tests =
+                (fun () ->
+                  if Printexc.backtrace_status () then [ Suts.Sut.passed "flag" ]
+                  else [ Suts.Sut.failed "flag" "backtrace recording is off" ]);
+              shutdown = (fun () -> ());
+            });
+    }
+  in
+  let runs =
+    Conferr_pool.map ~jobs:2
+      (fun _ () ->
+        (* as on a freshly spawned domain *)
+        Printexc.record_backtrace false;
+        ((Domain.self () :> int), Sandbox.boot_and_test sut (files_of sut)))
+      (Array.make 8 ())
+  in
+  Array.iter
+    (fun (domain, outcome) ->
+      Alcotest.(check bool) "ran on a worker domain" true (domain <> main);
+      match outcome with
+      | Outcome.Passed -> ()
+      | o -> Alcotest.failf "flag off inside the sandboxed call: %a" Outcome.pp o)
+    runs
+
 let test_sandbox_test_crash () =
   let sut = scripted_sut [ `Test_crash ] in
   match Sandbox.boot_and_test sut (files_of sut) with
@@ -635,6 +671,8 @@ let suite =
   [
     Alcotest.test_case "sandbox boot crash" `Quick test_sandbox_boot_crash;
     Alcotest.test_case "sandbox test crash" `Quick test_sandbox_test_crash;
+    Alcotest.test_case "sandbox backtraces on worker domains" `Quick
+      test_sandbox_backtraces_on_worker_domains;
     Alcotest.test_case "sandbox stack overflow" `Quick test_sandbox_stack_overflow;
     Alcotest.test_case "sandbox fuel budget" `Quick test_sandbox_fuel;
     Alcotest.test_case "sandbox matches engine when clean" `Quick

@@ -88,6 +88,73 @@ let prop_neighbors_symmetric =
       let n_a = Layout.neighbors qwerty a and n_b = Layout.neighbors qwerty b in
       List.mem b n_a = List.mem a n_b)
 
+(* The neighbour table against its definition, measured key by key:
+   every character of the three stock layouts, and bytes none of them
+   can type. *)
+let stock_rows =
+  [
+    ( Layout.us_qwerty,
+      [
+        (0, 0.0, "`1234567890-=", "~!@#$%^&*()_+");
+        (1, 1.5, "qwertyuiop[]\\", "QWERTYUIOP{}|");
+        (2, 1.75, "asdfghjkl;'", "ASDFGHJKL:\"");
+        (3, 2.25, "zxcvbnm,./", "ZXCVBNM<>?");
+      ] );
+    ( Layout.us_dvorak,
+      [
+        (0, 0.0, "`1234567890[]", "~!@#$%^&*(){}");
+        (1, 1.5, "',.pyfgcrl/=\\", "\"<>PYFGCRL?+|");
+        (2, 1.75, "aoeuidhtns-", "AOEUIDHTNS_");
+        (3, 2.25, ";qjkxbmwvz", ":QJKXBMWVZ");
+      ] );
+    ( Layout.ch_qwertz,
+      [
+        (0, 0.0, "\1671234567890'^", "\176+\"*\231%&/()=?`");
+        (1, 1.5, "qwertzuiop\232\168", "QWERTZUIOP\252!");
+        (2, 2.0, "asdfghjkl\233\224", "ASDFGHJKL\246\228");
+        (3, 2.5, "yxcvbnm,.-", "YXCVBNM;:_");
+      ] );
+  ]
+
+let brute_neighbors rows c =
+  let keys =
+    List.concat_map
+      (fun (row, start, plain, shifted) ->
+        List.init (String.length plain) (fun i ->
+            (float_of_int row, start +. float_of_int i, plain.[i], shifted.[i])))
+      rows
+  in
+  let owner =
+    List.find_map
+      (fun ((_, _, p, s) as k) ->
+        if p = c then Some (k, `Plain) else if s = c then Some (k, `Shifted) else None)
+      keys
+  in
+  match owner with
+  | None -> []
+  | Some (((r, col, _, _) as key), m) ->
+    List.filter_map
+      (fun ((r', col', p, s) as k) ->
+        let d = Float.sqrt (((r -. r') ** 2.) +. ((col -. col') ** 2.)) in
+        if k != key && d <= 1.35 then Some (if m = `Plain then p else s) else None)
+      keys
+    |> List.filter (fun ch -> ch <> c)
+    |> List.sort_uniq Char.compare
+
+let test_neighbor_table_matches_geometry () =
+  List.iter
+    (fun (layout, rows) ->
+      let made = Layout.make ~name:"copy" rows in
+      for code = 0 to 255 do
+        let c = Char.chr code in
+        let expected = brute_neighbors rows c in
+        Alcotest.(check (list char))
+          (Printf.sprintf "%s %C" (Layout.name layout) c)
+          expected (Layout.neighbors layout c);
+        Alcotest.(check (list char)) "made from the same rows" expected (Layout.neighbors made c)
+      done)
+    stock_rows
+
 let suite =
   [
     Alcotest.test_case "find" `Quick test_find;
@@ -96,6 +163,8 @@ let suite =
       test_neighbors_preserve_modifier;
     Alcotest.test_case "neighbors digits" `Quick test_neighbors_digits;
     Alcotest.test_case "neighbors sorted unique" `Quick test_neighbors_sorted_unique;
+    Alcotest.test_case "neighbor table matches geometry" `Quick
+      test_neighbor_table_matches_geometry;
     Alcotest.test_case "shift variant" `Quick test_shift_variant;
     Alcotest.test_case "can type ascii" `Quick test_can_type_all_ascii_letters;
     Alcotest.test_case "all_chars" `Quick test_all_chars;

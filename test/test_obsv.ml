@@ -120,6 +120,21 @@ let test_histogram_boundaries () =
   Alcotest.(check (float 0.)) "count" 3. (sample_value s "h_count" []);
   Alcotest.(check (float 1e-9)) "sum" 6.5000001 (sample_value s "h_sum" [])
 
+(* The default ladder resolves per-stage latencies of a few
+   microseconds apart and still bounds multi-second campaigns; its
+   bounds print as short decimals. *)
+let test_default_buckets_resolve_microseconds () =
+  let reg = Metrics.create () in
+  List.iter (Metrics.observe reg "stage_ms") [ 0.0015; 0.003; 0.2; 15000. ];
+  let s = Metrics.samples reg in
+  let le bound = sample_value s "stage_ms_bucket" [ ("le", bound) ] in
+  Alcotest.(check (float 0.)) "1.5 us alone under 2 us" 1. (le "0.002");
+  Alcotest.(check (float 0.)) "3 us in the next bucket" 2. (le "0.004");
+  Alcotest.(check (float 0.)) "200 us under 256 us" 3. (le "0.256");
+  Alcotest.(check (float 0.)) "15 s under the top finite bound" 4. (le "16777.216");
+  Alcotest.(check (float 0.)) "first bound is 1 us" 0.001 (List.hd Metrics.default_ms_buckets);
+  Alcotest.(check int) "25 buckets" 25 (List.length Metrics.default_ms_buckets)
+
 (* -------------------------------------------------------------- *)
 (* (c) the span clock sums passes in pipeline order                *)
 (* -------------------------------------------------------------- *)
@@ -398,6 +413,8 @@ let suite =
     Alcotest.test_case "exposition round-trip" `Quick test_exposition_round_trip;
     Alcotest.test_case "counter guards" `Quick test_counter_guards;
     Alcotest.test_case "histogram boundaries" `Quick test_histogram_boundaries;
+    Alcotest.test_case "default buckets resolve microseconds" `Quick
+      test_default_buckets_resolve_microseconds;
     Alcotest.test_case "clock phases" `Quick test_clock_phases;
     Alcotest.test_case "trace determinism across jobs" `Quick
       test_trace_determinism;

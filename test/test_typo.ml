@@ -179,6 +179,81 @@ let prop_random_any_nonempty_for_letters =
     (fun (seed, word) ->
       Typo.random_any (Rng.create seed) word <> None)
 
+(* Words over an alphabet where slips collide often: letters of both
+   cases, digits and punctuation next to each other on the keyboard,
+   and a byte no layout can type. *)
+let slip_word = QCheck2.Gen.(string_size ~gen:(oneofl (String.to_seq "aAsSdqw12-_.\200" |> List.of_seq)) (int_range 0 7))
+
+let layouts = Keyboard.Layout.[ us_qwerty; us_dvorak; ch_qwertz ]
+
+let prop_sampler_matches_random_any =
+  QCheck2.Test.make ~count:300
+    ~name:"typo: a reused sampler draws like random_any and a pick over variants"
+    QCheck2.Gen.(triple int (list_size (int_range 1 12) slip_word) (oneofl layouts))
+    (fun (seed, words, layout) ->
+      (* draw every word of the list, several times, from one sampler:
+         later draws hit the pools built by earlier ones *)
+      let words = words @ words @ words in
+      let sample = Typo.sampler ~layout () in
+      let a = Rng.create seed and b = Rng.create seed and c = Rng.create seed in
+      List.for_all
+        (fun w ->
+          let pool =
+            List.concat_map
+              (fun kind ->
+                List.map
+                  (fun (v, d) -> (v, Typo.kind_name kind ^ ": " ^ d))
+                  (Typo.variants ~layout kind w))
+              Typo.all_kinds
+          in
+          let drawn = sample a w in
+          let same_draw = drawn = Typo.random_any ~layout b w && drawn = Rng.pick_opt c pool in
+          (* and the three generators are left in the same state *)
+          let next = Rng.int a 1000 in
+          same_draw && next = Rng.int b 1000 && next = Rng.int c 1000)
+        words)
+
+(* The definition [Typo.corrections] answers without listing variants:
+   a vocabulary word is a one-slip source when some variant of it, of
+   any kind, is the typo. *)
+let reference_corrections ~layout ~vocabulary word =
+  let one_slip w =
+    List.exists
+      (fun kind -> List.exists (fun (v, _) -> v = word) (Typo.variants ~layout kind w))
+      Typo.all_kinds
+  in
+  vocabulary
+  |> List.filter_map (fun w ->
+         if w = word then None
+         else
+           let d = Strutil.damerau_levenshtein w word in
+           let slip = one_slip w in
+           if slip || d <= 2 then Some (w, d, slip) else None)
+  |> List.sort (fun (a, da, sa) (b, db, sb) ->
+         match (sa, sb) with
+         | true, false -> -1
+         | false, true -> 1
+         | _ ->
+           let c = compare da db in
+           if c <> 0 then c else compare a b)
+  |> List.map (fun (w, d, _) -> (w, d))
+
+let prop_corrections_match_enumeration =
+  QCheck2.Test.make ~count:500
+    ~name:"typo: corrections rank like enumerate-and-compare"
+    QCheck2.Gen.(triple slip_word (list_size (int_range 0 10) slip_word) (oneofl layouts))
+    (fun (word, vocabulary, layout) ->
+      (* add every word one slip away from [word] in either direction,
+         so one-slip sources are common *)
+      let vocabulary =
+        vocabulary
+        @ List.concat_map
+            (fun kind -> List.map fst (Typo.variants ~layout kind word))
+            Typo.all_kinds
+      in
+      Typo.corrections ~layout ~vocabulary word
+      = reference_corrections ~layout ~vocabulary word)
+
 let suite =
   [
     Alcotest.test_case "omission" `Quick test_omission;
@@ -201,4 +276,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_all_variants_distance_bounded;
     QCheck_alcotest.to_alcotest prop_omission_shrinks;
     QCheck_alcotest.to_alcotest prop_random_any_nonempty_for_letters;
+    QCheck_alcotest.to_alcotest prop_sampler_matches_random_any;
+    QCheck_alcotest.to_alcotest prop_corrections_match_enumeration;
   ]
