@@ -27,6 +27,7 @@ val make : name:string -> (int * float * string * string) list -> t
     whose centres lie within 1.35 key-widths of each other are adjacent. *)
 
 val name : t -> string
+(** The name given to {!make}, e.g. ["us-qwerty"]. *)
 
 val us_qwerty : t
 (** Standard US ANSI layout. *)
