@@ -60,14 +60,9 @@ let is_ttl s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
 let is_type s = List.mem (String.uppercase_ascii s) record_types
 
-let split_fields s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
-
 let parse_record ~lineno ~prev_owner raw stripped =
   let leading_blank = raw <> "" && (raw.[0] = ' ' || raw.[0] = '\t') in
-  let fields = split_fields stripped in
+  let fields = Strutil.fields stripped in
   match fields with
   | [] -> Error (Parse_error.make ~line:lineno "empty record")
   | first :: rest ->

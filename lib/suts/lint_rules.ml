@@ -592,11 +592,6 @@ let ap_strip_quotes s =
     String.sub s 1 (String.length s - 2)
   else s
 
-let ap_fields s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
-
 let ap_port_of s =
   let port_text =
     match String.rindex_opt s ':' with
@@ -669,7 +664,7 @@ let ap_scan set =
                     Mini_apache.validate_directive ~loaded:[] "loadmodule" args
                   with
                   | Ok () -> (
-                    match ap_fields args with
+                    match Strutil.fields args with
                     | [ name; _ ] -> sc.ap_loaded <- sc.ap_loaded @ [ name ]
                     | _ -> ())
                   | Error m -> sc.ap_load_errors <- raw ~file ~path m :: sc.ap_load_errors
@@ -689,7 +684,7 @@ let ap_scan set =
         | Error m -> sc.ap_errors <- raw ~file ~path m :: sc.ap_errors
         | Ok () ->
           if lname = "listen" then begin
-            (match ap_fields args with
+            (match Strutil.fields args with
             | [ spec ] -> (
               match ap_port_of spec with
               | Some p -> sc.ap_listeners <- sc.ap_listeners @ [ p ]
@@ -700,7 +695,7 @@ let ap_scan set =
           else if lname = "documentroot" then begin
             let root =
               ap_strip_quotes
-                (Option.value ~default:"" (List.nth_opt (ap_fields args) 0))
+                (Option.value ~default:"" (List.nth_opt (Strutil.fields args) 0))
             in
             match vhost_port with
             | None ->
@@ -709,7 +704,7 @@ let ap_scan set =
             | Some p -> sc.ap_vhost_roots <- (p, root) :: sc.ap_vhost_roots
           end
           else if lname = "directoryindex" then begin
-            sc.ap_dirindex <- ap_fields args;
+            sc.ap_dirindex <- Strutil.fields args;
             sc.ap_dirindex_at <- Some (file, path)
           end
       end
@@ -883,7 +878,7 @@ let ap_servername =
   ap_value_rule ~id:"AP-SERVERNAME" ~name:"servername"
     ~doc:"ServerName should be a DNS host name; httpd accepts anything (gap)"
     (fun v ->
-      match ap_fields v with
+      match Strutil.fields v with
       | [ h ] when ap_hostname_ok h -> None
       | _ ->
         Some
@@ -911,7 +906,7 @@ let ap_defaulttype =
   ap_value_rule ~id:"AP-MIME" ~name:"defaulttype"
     ~doc:"DefaultType should be an RFC 2045 type/subtype; httpd accepts anything (gap)"
     (fun v ->
-      match ap_fields v with
+      match Strutil.fields v with
       | [ t ] when ap_mime_ok t -> None
       | _ ->
         Some
@@ -926,7 +921,7 @@ let ap_addtype =
       "AddType's first argument should be an RFC 2045 type/subtype; httpd accepts \
        anything (gap)"
     (fun v ->
-      match ap_fields v with
+      match Strutil.fields v with
       | t :: _ :: _ when ap_mime_ok t -> None
       | t :: _ :: _ ->
         Some

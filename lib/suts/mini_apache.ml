@@ -1,4 +1,5 @@
 module Strutil = Conferr_util.Strutil
+module Node = Conftree.Node
 
 (* ------------------------------------------------------------------ *)
 (* Module registry: module identifier -> canonical shared-object path   *)
@@ -38,63 +39,9 @@ let modules =
     ("disk_cache_module", "modules/mod_disk_cache.so");
   ]
 
-let known_module name = List.mem_assoc name modules
+let module_paths = Hashtbl.of_seq (List.to_seq modules)
 
-(* Which module provides each non-core directive. *)
-let directive_modules =
-  [
-    ("order", "authz_host_module");
-    ("allow", "authz_host_module");
-    ("deny", "authz_host_module");
-    ("authtype", "auth_basic_module");
-    ("authname", "auth_basic_module");
-    ("authuserfile", "authn_file_module");
-    ("customlog", "log_config_module");
-    ("logformat", "log_config_module");
-    ("setenv", "env_module");
-    ("expiresactive", "expires_module");
-    ("header", "headers_module");
-    ("setenvif", "setenvif_module");
-    ("browsermatch", "setenvif_module");
-    ("addtype", "mime_module");
-    ("addencoding", "mime_module");
-    ("addhandler", "mime_module");
-    ("typesconfig", "mime_module");
-    ("extendedstatus", "status_module");
-    ("indexoptions", "autoindex_module");
-    ("addicon", "autoindex_module");
-    ("addiconbytype", "autoindex_module");
-    ("defaulticon", "autoindex_module");
-    ("readmename", "autoindex_module");
-    ("headername", "autoindex_module");
-    ("addinfo", "info_module");
-    ("directoryindex", "dir_module");
-    ("alias", "alias_module");
-    ("scriptalias", "alias_module");
-    ("redirect", "alias_module");
-    ("rewriteengine", "rewrite_module");
-    ("rewriterule", "rewrite_module");
-    ("languagepriority", "negotiation_module");
-    ("addlanguage", "negotiation_module");
-    ("forcelanguagepriority", "negotiation_module");
-    ("userdir", "userdir_module");
-    ("action", "actions_module");
-    ("checkspelling", "speling_module");
-    ("deflatecompressionlevel", "deflate_module");
-    ("scriptsock", "cgi_module");
-    ("davlockdb", "dav_fs_module");
-    ("proxyrequests", "proxy_module");
-    ("sslengine", "ssl_module");
-    ("sslcertificatefile", "ssl_module");
-    ("cacheenable", "cache_module");
-    ("cacheroot", "disk_cache_module");
-  ]
-
-let directive_module name =
-  List.assoc_opt (String.lowercase_ascii name) directive_modules
-
-(* Core directives: name -> value validator.  Most accept anything —
-   the laxity the paper criticizes. *)
+let known_module name = Hashtbl.mem module_paths name
 
 let existing_dirs =
   [ "/etc/httpd"; "/var/www/html"; "/var/www/cgi-bin"; "/var/www/error";
@@ -105,6 +52,8 @@ let existing_files = [ "/etc/mime.types"; "/etc/httpd/conf/magic" ]
 let known_users = [ "apache"; "www-data"; "daemon"; "nobody" ]
 
 let known_groups = known_users
+
+let mem s l = List.exists (String.equal s) l
 
 let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
@@ -127,6 +76,10 @@ let dir_of_path p =
   | Some i -> String.sub p 0 i
   | None -> "."
 
+(* ------------------------------------------------------------------ *)
+(* Directive table: lowercase name -> owning module, value validator    *)
+(* ------------------------------------------------------------------ *)
+
 type validator =
   | Anything                 (* the flaw: freeform strings accepted *)
   | Number
@@ -145,6 +98,8 @@ type validator =
   | From_list
   | Min_args of int
 
+(* Core directives.  Most accept anything — the laxity the paper
+   criticizes. *)
 let core_directives =
   [
     ("serverroot", Existing_dir);
@@ -184,51 +139,91 @@ let core_directives =
     ("traceenable", On_off_or [ "extended" ]);
   ]
 
+(* Directives owned by loadable modules: invalid commands unless the
+   module is loaded, and value-checked once it is. *)
+let module_directives =
+  [
+    ("authz_host_module", [ ("order", Order_arg); ("allow", From_list); ("deny", From_list) ]);
+    ("auth_basic_module", [ ("authtype", Anything); ("authname", Anything) ]);
+    ("authn_file_module", [ ("authuserfile", Anything) ]);
+    ("log_config_module", [ ("customlog", Min_args 2); ("logformat", Min_args 1) ]);
+    ("env_module", [ ("setenv", Min_args 1) ]);
+    ("expires_module", [ ("expiresactive", Anything) ]);
+    ("headers_module", [ ("header", Anything) ]);
+    ("setenvif_module", [ ("setenvif", Min_args 2); ("browsermatch", Min_args 2) ]);
+    ( "mime_module",
+      [
+        ("addtype", Min_args 2) (* flaw: the type itself is not validated *);
+        ("addencoding", Min_args 2);
+        ("addhandler", Min_args 2);
+        ("typesconfig", Existing_file);
+      ] );
+    ("status_module", [ ("extendedstatus", On_off) ]);
+    ( "autoindex_module",
+      [
+        ("indexoptions", Min_args 1);
+        ("addicon", Min_args 2);
+        ("addiconbytype", Min_args 2);
+        ("defaulticon", Min_args 1);
+        ("readmename", Min_args 1);
+        ("headername", Min_args 1);
+      ] );
+    ("info_module", [ ("addinfo", Anything) ]);
+    ("dir_module", [ ("directoryindex", Min_args 1) ]);
+    ("alias_module", [ ("alias", Min_args 2); ("scriptalias", Min_args 2); ("redirect", Min_args 1) ]);
+    ("rewrite_module", [ ("rewriteengine", On_off); ("rewriterule", Anything) ]);
+    ( "negotiation_module",
+      [ ("languagepriority", Min_args 1); ("addlanguage", Min_args 2);
+        ("forcelanguagepriority", Min_args 1) ] );
+    ("userdir_module", [ ("userdir", Min_args 1) ]);
+    ("actions_module", [ ("action", Anything) ]);
+    ("speling_module", [ ("checkspelling", Anything) ]);
+    ("deflate_module", [ ("deflatecompressionlevel", Anything) ]);
+    ("cgi_module", [ ("scriptsock", Anything) ]);
+    ("dav_fs_module", [ ("davlockdb", Anything) ]);
+    ("proxy_module", [ ("proxyrequests", Anything) ]);
+    ("ssl_module", [ ("sslengine", Anything); ("sslcertificatefile", Anything) ]);
+    ("cache_module", [ ("cacheenable", Anything) ]);
+    ("disk_cache_module", [ ("cacheroot", Anything) ]);
+  ]
+
+(* Directive names compare up to ASCII case, so a name is looked up as
+   written, without lowercasing it first. *)
+module Name = struct
+  type t = string
+
+  let equal a b =
+    let n = String.length a in
+    let rec from i =
+      i = n || (Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[i] && from (i + 1))
+    in
+    n = String.length b && from 0
+
+  let hash s =
+    String.fold_left (fun h c -> (h * 31) + Char.code (Char.lowercase_ascii c)) 0 s
+    land max_int
+end
+
+module Names = Hashtbl.Make (Name)
+
+(* Name -> (lowercase name, owning module, validator).  Built once at
+   module init and only read afterwards, so worker domains share it. *)
+let directives =
+  let t = Names.create 128 in
+  let add owner (name, v) = Names.replace t name (name, owner, v) in
+  List.iter (add None) core_directives;
+  List.iter (fun (m, ds) -> List.iter (add (Some m)) ds) module_directives;
+  t
+
+let directive_module name =
+  Option.bind (Names.find_opt directives name) (fun (_, owner, _) -> owner)
+
 let option_tokens =
   [ "indexes"; "includes"; "followsymlinks"; "symlinksifownermatch"; "execcgi";
     "multiviews"; "none"; "all" ]
 
 let override_tokens =
   [ "authconfig"; "fileinfo"; "indexes"; "limit"; "options"; "none"; "all" ]
-
-(* Directives owned by loadable modules still need their values checked
-   once the module is present. *)
-let module_directive_validators =
-  [
-    ("order", Order_arg);
-    ("allow", From_list);
-    ("deny", From_list);
-    ("customlog", Min_args 2);
-    ("logformat", Min_args 1);
-    ("addtype", Min_args 2) (* flaw: the type itself is not validated *);
-    ("addencoding", Min_args 2);
-    ("addhandler", Min_args 2);
-    ("typesconfig", Existing_file);
-    ("extendedstatus", On_off);
-    ("directoryindex", Min_args 1);
-    ("alias", Min_args 2);
-    ("scriptalias", Min_args 2);
-    ("redirect", Min_args 1);
-    ("rewriteengine", On_off);
-    ("languagepriority", Min_args 1);
-    ("addlanguage", Min_args 2);
-    ("forcelanguagepriority", Min_args 1);
-    ("userdir", Min_args 1);
-    ("setenvif", Min_args 2);
-    ("browsermatch", Min_args 2);
-    ("setenv", Min_args 1);
-    ("indexoptions", Min_args 1);
-    ("addicon", Min_args 2);
-    ("addiconbytype", Min_args 2);
-    ("defaulticon", Min_args 1);
-    ("readmename", Min_args 1);
-    ("headername", Min_args 1);
-  ]
-
-let fields s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
 
 type state = {
   mutable listeners : int list;
@@ -238,13 +233,17 @@ type state = {
   mutable vhost_roots : (int * string) list;
 }
 
+let new_state loaded =
+  { listeners = []; document_root = ""; loaded; directory_index = []; vhost_roots = [] }
+
+let is_loaded state m = mem m state.loaded
+
 let strip_quotes s =
   if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
     String.sub s 1 (String.length s - 2)
   else s
 
-let validate_value state name validator value =
-  let args = fields value in
+let validate_value state name validator args =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match validator with
   | Anything -> Ok ()
@@ -258,12 +257,12 @@ let validate_value state name validator value =
      | _ -> fail "%s must be On or Off" name)
   | On_off_or extra ->
     (match List.map String.lowercase_ascii args with
-     | [ v ] when v = "on" || v = "off" || List.mem v extra -> Ok ()
+     | [ v ] when v = "on" || v = "off" || mem v extra -> Ok ()
      | _ -> fail "%s must be On, Off%s" name
               (String.concat "" (List.map (fun e -> " or " ^ e) extra)))
   | Enum allowed ->
     (match List.map String.lowercase_ascii args with
-     | [ v ] when List.mem v allowed -> Ok ()
+     | [ v ] when mem v allowed -> Ok ()
      | _ -> fail "%s must be one of %s" name (String.concat "|" allowed))
   | Port_list ->
     (match args with
@@ -276,16 +275,15 @@ let validate_value state name validator value =
      | _ -> fail "%s takes one address or port argument" name)
   | Existing_dir ->
     (match args with
-     | [ d ] when List.mem d existing_dirs -> Ok ()
+     | [ d ] when mem d existing_dirs -> Ok ()
      | [ d ] ->
        (* the shipped configs quote paths; unquote before checking *)
-       let unq = strip_quotes d in
-       if List.mem unq existing_dirs then Ok ()
+       if mem (strip_quotes d) existing_dirs then Ok ()
        else fail "%s: could not open directory %s" name d
      | _ -> fail "%s takes one directory argument" name)
   | Existing_file ->
     (match args with
-     | [ f ] when List.mem (strip_quotes f) existing_files -> Ok ()
+     | [ f ] when mem (strip_quotes f) existing_files -> Ok ()
      | [ f ] -> fail "%s: could not open file %s" name f
      | _ -> fail "%s takes one file argument" name)
   | Log_path ->
@@ -293,17 +291,17 @@ let validate_value state name validator value =
      | [ p ] ->
        let p = strip_quotes p in
        if String.length p > 0 && p.[0] = '|' then Ok ()
-       else if List.mem (dir_of_path p) existing_dirs then Ok ()
+       else if mem (dir_of_path p) existing_dirs then Ok ()
        else fail "%s: could not open log file %s" name p
      | _ -> fail "%s takes one argument" name)
   | User_name ->
     (match args with
-     | [ u ] when List.mem u known_users -> Ok ()
+     | [ u ] when mem u known_users -> Ok ()
      | [ u ] -> fail "bad user name %s" u
      | _ -> fail "User takes one argument")
   | Group_name ->
     (match args with
-     | [ g ] when List.mem g known_groups -> Ok ()
+     | [ g ] when mem g known_groups -> Ok ()
      | [ g ] -> fail "bad group name %s" g
      | _ -> fail "Group takes one argument")
   | Options_list ->
@@ -316,19 +314,16 @@ let validate_value state name validator value =
               String.sub a 1 (String.length a - 1)
             else a
           in
-          not (List.mem a option_tokens))
+          not (mem a option_tokens))
         args
     in
     (match bad with
      | Some a -> fail "Illegal option %s" a
      | None -> Ok ())
   | Override_list ->
-    let bad =
-      List.find_opt
-        (fun a -> not (List.mem (String.lowercase_ascii a) override_tokens))
-        args
-    in
-    (match bad with
+    (match
+       List.find_opt (fun a -> not (mem (String.lowercase_ascii a) override_tokens)) args
+     with
      | Some a -> fail "Illegal override option %s" a
      | None -> Ok ())
   | Order_arg ->
@@ -344,38 +339,13 @@ let validate_value state name validator value =
     else fail "%s takes at least %d argument(s)" name n
 
 (* ------------------------------------------------------------------ *)
-(* Config processing                                                    *)
+(* Config processing: two walks over the parsed tree                    *)
 (* ------------------------------------------------------------------ *)
 
-type item =
-  | Directive of string * string      (* name, raw argument text *)
-  | Section of string * string * item list
-
-let parse_config text =
-  (* The SUT's own reader; same grammar as the injector's format module
-     but with Apache's error messages. *)
-  match Formats.Apacheconf.parse text with
-  | Error e -> Error (Printf.sprintf "Syntax error: %s" (Formats.Parse_error.to_string e))
-  | Ok tree ->
-    let rec items (n : Conftree.Node.t) =
-      n.children
-      |> List.filter_map (fun (c : Conftree.Node.t) ->
-             if c.kind = Conftree.Node.kind_directive then
-               Some (Directive (c.name, Conftree.Node.value_or ~default:"" c))
-             else if c.kind = Conftree.Node.kind_section then
-               Some
-                 (Section
-                    ( c.name,
-                      Option.value ~default:"" (Conftree.Node.attr c "arg"),
-                      items c ))
-             else None)
-    in
-    Ok (items tree)
-
 let load_module state args =
-  match fields args with
+  match Strutil.fields args with
   | [ name; path ] ->
-    (match List.assoc_opt name modules with
+    (match Hashtbl.find_opt module_paths name with
      | Some canonical when strip_quotes path = canonical ->
        state.loaded <- name :: state.loaded;
        Ok ()
@@ -390,39 +360,32 @@ let load_module state args =
          (Printf.sprintf "Cannot load %s into server: undefined module %s" path name))
   | _ -> Error "LoadModule takes two arguments"
 
+(* One table lookup decides known, module-gated and value check. *)
 let handle_directive state ~vhost_port name args =
-  let lname = String.lowercase_ascii name in
-  if lname = "loadmodule" then load_module state args
+  if Name.equal name "loadmodule" then load_module state args
   else
-    match List.assoc_opt lname core_directives with
-    | Some validator ->
+    match Names.find_opt directives name with
+    | Some (lname, owner, validator)
+      when match owner with None -> true | Some m -> is_loaded state m ->
+      let args = Strutil.fields args in
       let r = validate_value state lname validator args in
-      (match r with
-       | Ok () ->
-         if lname = "documentroot" then begin
-           let root = strip_quotes (List.nth_opt (fields args) 0 |> Option.value ~default:"") in
-           (match vhost_port with
-            | None -> state.document_root <- root
-            | Some p -> state.vhost_roots <- (p, root) :: state.vhost_roots)
-         end;
-         Ok ()
-       | Error _ -> r)
-    | None ->
-      (match directive_module lname with
-       | Some m when List.mem m state.loaded ->
-         let validator =
-           Option.value ~default:Anything (List.assoc_opt lname module_directive_validators)
-         in
-         let r = validate_value state lname validator args in
-         if r = Ok () && lname = "directoryindex" then
-           state.directory_index <- fields args;
-         r
-       | Some _ | None ->
-         Error
-           (Printf.sprintf
-              "Invalid command '%s', perhaps misspelled or defined by a module not \
-               included in the server configuration"
-              name))
+      if r = Ok () then begin
+        match lname with
+        | "documentroot" ->
+          let root = strip_quotes (match args with a :: _ -> a | [] -> "") in
+          (match vhost_port with
+           | None -> state.document_root <- root
+           | Some p -> state.vhost_roots <- (p, root) :: state.vhost_roots)
+        | "directoryindex" -> state.directory_index <- args
+        | _ -> ()
+      end;
+      r
+    | Some _ | None ->
+      Error
+        (Printf.sprintf
+           "Invalid command '%s', perhaps misspelled or defined by a module not \
+            included in the server configuration"
+           name)
 
 (* Keep in sync with the section match in [process]. *)
 let known_sections =
@@ -442,58 +405,52 @@ let ifmodule_ref arg =
   in
   (mod_name, negated)
 
-let rec process state ~vhost_port items =
-  match items with
+(* [f] on each element in order, stopping at the first error. *)
+let rec each f = function
   | [] -> Ok ()
-  | Directive (name, args) :: rest ->
-    (match handle_directive state ~vhost_port name args with
-     | Ok () -> process state ~vhost_port rest
-     | Error msg -> Error msg)
-  | Section (name, arg, children) :: rest ->
-    let lname = String.lowercase_ascii name in
-    let continue_with result =
-      match result with
-      | Ok () -> process state ~vhost_port rest
-      | Error _ -> result
-    in
-    (match lname with
-     | "ifmodule" ->
-       let mod_name, negated = ifmodule_ref arg in
-       let present = List.mem mod_name state.loaded in
-       if (present && not negated) || ((not present) && negated) then
-         continue_with (process state ~vhost_port children)
-       else (* body skipped entirely: even invalid commands are ignored *)
-         process state ~vhost_port rest
-     | "virtualhost" ->
-       (match parse_port (Strutil.trim arg) with
-        | Ok p -> continue_with (process state ~vhost_port:(Some p) children)
-        | Error _ when Strutil.trim arg = "*" ->
-          continue_with (process state ~vhost_port:(Some 80) children)
-        | Error msg -> Error (Printf.sprintf "VirtualHost: %s" msg))
-     | "directory" | "files" | "location" | "limit" ->
-       continue_with (process state ~vhost_port children)
-     | other ->
-       Error
-         (Printf.sprintf
-            "Invalid command '<%s', perhaps misspelled or defined by a module not \
-             included in the server configuration"
-            other))
+  | n :: rest -> (match f n with Ok () -> each f rest | Error _ as e -> e)
+
+let rec process state ~vhost_port (n : Node.t) =
+  if n.kind = Node.kind_directive then
+    if Name.equal n.name "loadmodule" then Ok () (* the pre-pass loaded it *)
+    else handle_directive state ~vhost_port n.name (Node.value_or ~default:"" n)
+  else if n.kind <> Node.kind_section then Ok ()
+  else
+    let body vhost_port = each (process state ~vhost_port) n.children in
+    let arg = Option.value ~default:"" (Node.attr n "arg") in
+    match String.lowercase_ascii n.name with
+    | "ifmodule" ->
+      let mod_name, negated = ifmodule_ref arg in
+      if is_loaded state mod_name <> negated then body vhost_port
+      else Ok () (* body skipped entirely: even invalid commands are ignored *)
+    | "virtualhost" ->
+      (match parse_port (Strutil.trim arg) with
+       | Ok p -> body (Some p)
+       | Error _ when Strutil.trim arg = "*" -> body (Some 80)
+       | Error msg -> Error (Printf.sprintf "VirtualHost: %s" msg))
+    | "directory" | "files" | "location" | "limit" -> body vhost_port
+    | other ->
+      Error
+        (Printf.sprintf
+           "Invalid command '<%s', perhaps misspelled or defined by a module not \
+            included in the server configuration"
+           other)
+
+(* httpd resolves LoadModule before the bulk of the configuration is
+   interpreted (the shipped configs rely on this), so module loading is a
+   separate first pass over the whole tree. *)
+let rec preload_modules state (n : Node.t) =
+  if n.kind = Node.kind_section then each (preload_modules state) n.children
+  else if n.kind = Node.kind_directive && Name.equal n.name "loadmodule" then
+    load_module state (Node.value_or ~default:"" n)
+  else Ok ()
+
+let validate_directive ~loaded name args =
+  handle_directive (new_state loaded) ~vhost_port:None name args
 
 (* ------------------------------------------------------------------ *)
 (* Functional test: an HTTP GET, like the paper's diagnosis script       *)
 (* ------------------------------------------------------------------ *)
-
-let validate_directive ~loaded name args =
-  let state =
-    {
-      listeners = [];
-      document_root = "";
-      loaded;
-      directory_index = [];
-      vhost_roots = [];
-    }
-  in
-  handle_directive state ~vhost_port:None name args
 
 let docroot_has_index root = root = "/var/www/html"
 
@@ -513,26 +470,10 @@ let functional_tests state () =
     in
     if not (docroot_has_index root) then
       [ Sut.failed "http-get" (Printf.sprintf "404 Not Found (DocumentRoot %s)" root) ]
-    else if not (List.mem "index.html" state.directory_index) then
+    else if not (mem "index.html" state.directory_index) then
       [ Sut.failed "http-get" "403 Forbidden (no DirectoryIndex maps /)" ]
     else [ Sut.passed "http-get" ]
   end
-
-(* httpd resolves LoadModule before the bulk of the configuration is
-   interpreted (the shipped configs rely on this), so module loading is a
-   separate first pass over the whole tree. *)
-let rec preload_modules state items =
-  match items with
-  | [] -> Ok ()
-  | Directive (name, args) :: rest when String.lowercase_ascii name = "loadmodule" ->
-    (match load_module state args with
-     | Ok () -> preload_modules state rest
-     | Error _ as e -> e)
-  | Directive _ :: rest -> preload_modules state rest
-  | Section (_, _, children) :: rest ->
-    (match preload_modules state children with
-     | Ok () -> preload_modules state rest
-     | Error _ as e -> e)
 
 let boot configs =
   match List.assoc_opt "httpd.conf" configs with
@@ -545,33 +486,21 @@ let boot configs =
       | Some ssl -> main_text ^ "\n" ^ ssl
       | None -> main_text
     in
-    (match parse_config text with
-     | Error msg -> Error msg
-     | Ok items ->
-       let state =
-         {
-           listeners = [];
-           document_root = "";
-           loaded = [];
-           directory_index = [];
-           vhost_roots = [];
-         }
-       in
+    (* The SUT's own reader: the injector's grammar, Apache's messages. *)
+    (match Formats.Apacheconf.parse text with
+     | Error e -> Error (Printf.sprintf "Syntax error: %s" (Formats.Parse_error.to_string e))
+     | Ok tree ->
+       let state = new_state [] in
        (match
-          match preload_modules state items with
-          | Ok () -> process state ~vhost_port:None items
+          match each (preload_modules state) tree.children with
+          | Ok () -> each (process state ~vhost_port:None) tree.children
           | Error _ as e -> e
         with
         | Error msg -> Error msg
+        | Ok () when state.listeners = [] ->
+          Error "no listening sockets available, shutting down"
         | Ok () ->
-          if state.listeners = [] then
-            Error "no listening sockets available, shutting down"
-          else
-            Ok
-              {
-                Sut.run_tests = functional_tests state;
-                shutdown = (fun () -> ());
-              }))
+          Ok { Sut.run_tests = functional_tests state; shutdown = (fun () -> ()) }))
 
 let default_config =
   let load (name, path) = Printf.sprintf "LoadModule %s %s" name path in

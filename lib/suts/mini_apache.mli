@@ -16,7 +16,15 @@
     - nested sections ([<VirtualHost>], [<Directory>], [<IfModule>]);
       [<IfModule>] bodies are skipped when the module is absent
     - enum-valued directives ([LogLevel], [KeepAlive], [Options], ...)
-      are strictly validated *)
+      are strictly validated
+
+    Startup is a [LoadModule] pre-pass over every section, then one walk
+    over the parsed tree with one table lookup per directive (owning
+    module and value validator).  The first failing check aborts startup,
+    and its message becomes the scenario's outcome detail in campaign
+    journals and profiles.  The error strings, including the directive
+    name as written, and the order in which checks run are therefore part
+    of the journal contract: [test/test_apache_boot_pin.ml] pins them. *)
 
 val sut : Sut.t
 

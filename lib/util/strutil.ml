@@ -1,6 +1,11 @@
+(* [sub] occurs in [s] at [i]; the caller checks that it fits. *)
+let occurs_at s i sub =
+  let n = String.length sub in
+  let rec from k = k = n || (s.[i + k] = sub.[k] && from (k + 1)) in
+  from 0
+
 let is_prefix ~prefix s =
-  let lp = String.length prefix in
-  String.length s >= lp && String.sub s 0 lp = prefix
+  String.length s >= String.length prefix && occurs_at s 0 prefix
 
 let drop_prefix ~prefix s =
   if is_prefix ~prefix s then
@@ -13,6 +18,21 @@ let split_on_first c s =
   | Some i -> Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
 let trim = String.trim
+
+let fields s =
+  let blank c = c = ' ' || c = '\t' in
+  (* scan right to left so the list comes out in order *)
+  let rec scan j acc =
+    if j = 0 then acc
+    else if blank s.[j - 1] then scan (j - 1) acc
+    else
+      let i = ref (j - 1) in
+      while !i > 0 && not (blank s.[!i - 1]) do
+        decr i
+      done;
+      scan !i (String.sub s !i (j - !i) :: acc)
+  in
+  scan (String.length s) []
 
 let lowercase = String.lowercase_ascii
 
@@ -104,15 +124,8 @@ let pad_right n s =
 
 let contains_substring ~needle hay =
   let ln = String.length needle and lh = String.length hay in
-  if ln = 0 then true
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i <= lh - ln do
-      if String.sub hay !i ln = needle then found := true else incr i
-    done;
-    !found
-  end
+  let rec from i = i <= lh - ln && (occurs_at hay i needle || from (i + 1)) in
+  from 0
 
 let repeat n s =
   let b = Buffer.create (n * String.length s) in

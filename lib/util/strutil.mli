@@ -14,6 +14,9 @@ val split_on_first : char -> string -> (string * string) option
 val trim : string -> string
 (** Like {!String.trim}; provided for qualified-use style. *)
 
+val fields : string -> string list
+(** The non-empty runs of [s] between spaces and tabs, in order. *)
+
 val lowercase : string -> string
 
 val insert_char : string -> int -> char -> string

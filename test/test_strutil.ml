@@ -104,6 +104,41 @@ let prop_swap_involution =
       QCheck2.assume (i + 1 < String.length s);
       Strutil.swap_chars (Strutil.swap_chars s i) i = s)
 
+(* Small alphabets make blanks, prefixes and matches common. *)
+let text_over chars =
+  QCheck2.Gen.(string_size ~gen:(oneofl chars) (int_range 0 16))
+
+let prop_fields_single_scan =
+  QCheck2.Test.make ~count:1000 ~name:"strutil: fields = split on blanks, drop empties"
+    ~print:String.escaped
+    (text_over [ 'a'; 'b'; ' '; '\t' ])
+    (fun s ->
+      Strutil.fields s
+      = (String.split_on_char ' ' s
+        |> List.concat_map (String.split_on_char '\t')
+        |> List.filter (fun f -> f <> "")))
+
+(* The definitions that copied a substring for every comparison. *)
+let prop_prefix_in_place =
+  QCheck2.Test.make ~count:1000 ~name:"strutil: is_prefix/drop_prefix = String.sub definition"
+    ~print:QCheck2.Print.(pair string string)
+    QCheck2.Gen.(pair (text_over [ 'a'; 'b' ]) (text_over [ 'a'; 'b' ]))
+    (fun (prefix, s) ->
+      let lp = String.length prefix and ls = String.length s in
+      let expected = ls >= lp && String.sub s 0 lp = prefix in
+      Strutil.is_prefix ~prefix s = expected
+      && Strutil.drop_prefix ~prefix s
+         = if expected then Some (String.sub s lp (ls - lp)) else None)
+
+let prop_contains_in_place =
+  QCheck2.Test.make ~count:1000 ~name:"strutil: contains_substring = String.sub definition"
+    ~print:QCheck2.Print.(pair string string)
+    QCheck2.Gen.(pair (text_over [ 'a'; 'b' ]) (text_over [ 'a'; 'b' ]))
+    (fun (needle, hay) ->
+      let ln = String.length needle and lh = String.length hay in
+      let rec found i = i <= lh - ln && (String.sub hay i ln = needle || found (i + 1)) in
+      Strutil.contains_substring ~needle hay = found 0)
+
 let suite =
   [
     Alcotest.test_case "is_prefix" `Quick test_is_prefix;
@@ -123,4 +158,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_levenshtein_symmetric;
     QCheck_alcotest.to_alcotest prop_damerau_bounded_by_levenshtein;
     QCheck_alcotest.to_alcotest prop_swap_involution;
+    QCheck_alcotest.to_alcotest prop_fields_single_scan;
+    QCheck_alcotest.to_alcotest prop_prefix_in_place;
+    QCheck_alcotest.to_alcotest prop_contains_in_place;
   ]
