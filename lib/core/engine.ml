@@ -24,16 +24,17 @@ let parse_default_config (sut : Suts.Sut.t) =
   parse_config sut sut.Suts.Sut.default_config
 
 let serialize_config (sut : Suts.Sut.t) set =
-  List.fold_left
-    (fun acc (file, fmt) ->
-      let* files = acc in
-      match Config_set.find set file with
-      | None -> Error (Printf.sprintf "mutated configuration lost file %S" file)
-      | Some tree ->
-        (match fmt.Formats.Registry.serialize tree with
-         | Ok text -> Ok (files @ [ (file, text) ])
-         | Error msg -> Error (Printf.sprintf "serializing %S: %s" file msg)))
-    (Ok []) sut.Suts.Sut.config_files
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | (file, fmt) :: rest ->
+      (match Config_set.find set file with
+       | None -> Error (Printf.sprintf "mutated configuration lost file %S" file)
+       | Some tree ->
+         (match fmt.Formats.Registry.serialize tree with
+          | Ok text -> go ((file, text) :: acc) rest
+          | Error msg -> Error (Printf.sprintf "serializing %S: %s" file msg)))
+  in
+  go [] sut.Suts.Sut.config_files
 
 let boot_and_test (sut : Suts.Sut.t) files =
   (* A SUT that raises is a SUT that crashed: classify it like the real

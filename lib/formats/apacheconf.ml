@@ -87,15 +87,19 @@ let parse text =
 
 let serialize (tree : Node.t) =
   let buf = Buffer.create 512 in
+  let pad indent =
+    for _ = 1 to 2 * indent do
+      Buffer.add_char buf ' '
+    done
+  in
   let rec emit indent (n : Node.t) =
-    let pad = String.make (2 * indent) ' ' in
     match n.kind with
     | k when k = Node.kind_blank -> Buffer.add_char buf '\n'
     | k when k = Node.kind_comment ->
       Buffer.add_string buf (Node.value_or ~default:"#" n);
       Buffer.add_char buf '\n'
     | k when k = Node.kind_directive ->
-      Buffer.add_string buf pad;
+      pad indent;
       Buffer.add_string buf n.name;
       (match n.value with
        | None -> ()
@@ -105,13 +109,20 @@ let serialize (tree : Node.t) =
          Buffer.add_string buf v);
       Buffer.add_char buf '\n'
     | k when k = Node.kind_section ->
-      Buffer.add_string buf pad;
+      pad indent;
+      Buffer.add_char buf '<';
+      Buffer.add_string buf n.name;
       (match Node.attr n attr_arg with
-       | Some arg -> Buffer.add_string buf (Printf.sprintf "<%s %s>\n" n.name arg)
-       | None -> Buffer.add_string buf (Printf.sprintf "<%s>\n" n.name));
+       | Some arg ->
+         Buffer.add_char buf ' ';
+         Buffer.add_string buf arg
+       | None -> ());
+      Buffer.add_string buf ">\n";
       List.iter (emit (indent + 1)) n.children;
-      Buffer.add_string buf pad;
-      Buffer.add_string buf (Printf.sprintf "</%s>\n" n.name)
+      pad indent;
+      Buffer.add_string buf "</";
+      Buffer.add_string buf n.name;
+      Buffer.add_string buf ">\n"
     | k -> raise (Failure (Printf.sprintf "cannot express %s nodes" k))
   in
   try
