@@ -1172,6 +1172,47 @@ let source_rev () =
     if Sys.command "git diff --quiet HEAD -- lib bin 2>/dev/null" = 0 then rev
     else rev ^ "+dirty"
 
+(* Replace this revision's entry in the BENCH_<bench>.json ledger and
+   keep the other revisions' entries. *)
+let record_run ~bench ~rev ~cores ~reps per_sut =
+  let path = Printf.sprintf "BENCH_%s.json" bench in
+  let earlier =
+    match In_channel.with_open_bin path In_channel.input_all |> Json.of_string with
+    | Ok doc ->
+      (match Json.member "runs" doc with
+       | Some (Json.Arr runs) ->
+         List.filter
+           (fun r -> Option.bind (Json.member "rev" r) Json.str <> Some rev)
+           runs
+       | _ -> [])
+    | Error _ | (exception Sys_error _) -> []
+  in
+  let run =
+    Json.Obj
+      [
+        ("rev", Json.Str rev);
+        ("cores", Json.Num (float_of_int cores));
+        ("ocaml", Json.Str Sys.ocaml_version);
+        ("reps", Json.Num (float_of_int reps));
+        ("seed", Json.Num (float_of_int seed));
+        ("suts", Json.Arr per_sut);
+      ]
+  in
+  write_artifact path
+    (Json.Obj [ ("bench", Json.Str bench); ("runs", Json.Arr (earlier @ [ run ])) ])
+
+(* Median, min and max of [reps] timings of [f], in the unit [scale]
+   converts seconds to. *)
+let spread ~reps ~scale f =
+  let times =
+    List.init reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        (Unix.gettimeofday () -. t0) *. scale)
+    |> List.sort compare
+  in
+  (List.nth times (reps / 2), List.hd times, List.nth times (reps - 1))
+
 let print_generate () =
   print_endline "=== Scenario generation (typo faultload of section 5.2) ===\n";
   let rev = source_rev () in
@@ -1192,15 +1233,9 @@ let print_generate () =
             ~faultload:Conferr.Campaign.paper_faultload sut base
         in
         let n = List.length (generate ()) in
-        let times =
-          List.init generate_reps (fun _ ->
-              let t0 = Unix.gettimeofday () in
-              ignore (generate ());
-              (Unix.gettimeofday () -. t0) *. 1e3)
-          |> List.sort compare
+        let median, lo, hi =
+          spread ~reps:generate_reps ~scale:1e3 (fun () -> ignore (generate ()))
         in
-        let median = List.nth times (generate_reps / 2) in
-        let lo = List.hd times and hi = List.nth times (generate_reps - 1) in
         Printf.printf "  %-10s %4d scenarios  median %8.2f ms  (min %.2f, max %.2f)  %6.1f us/scenario\n%!"
           sut.sut_name n median lo hi (1e3 *. median /. float_of_int n);
         Json.Obj
@@ -1213,40 +1248,94 @@ let print_generate () =
           ])
       Suts.Catalog.all
   in
-  let path = "BENCH_generate.json" in
-  let earlier =
-    match In_channel.with_open_bin path In_channel.input_all |> Json.of_string with
-    | Ok doc ->
-      (match Json.member "runs" doc with
-       | Some (Json.Arr runs) ->
-         List.filter
-           (fun r -> Option.bind (Json.member "rev" r) Json.str <> Some rev)
-           runs
-       | _ -> [])
-    | Error _ | (exception Sys_error _) -> []
+  record_run ~bench:"generate" ~rev ~cores ~reps:generate_reps per_sut;
+  print_newline ()
+
+(* ------------------------------------------------------------------ *)
+(* SUT startup: Engine.boot_and_test per SUT                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Boot plus functional tests, per SUT, on the stock configuration and
+   on every configuration of the seed-42 typo faultload (applied and
+   serialized up front, so only boot_and_test is timed).  Each rep boots
+   the stock configuration [stock_boots] times, or the whole faultload
+   once, and reports microseconds per boot.  Measure with a release
+   build:
+
+     dune exec --profile release bench/main.exe -- boot
+
+   BENCH_boot.json is a per-revision ledger like BENCH_generate.json. *)
+let stock_boots = 200
+
+let print_boot () =
+  print_endline "=== SUT startup (boot + functional tests) ===\n";
+  let rev = source_rev () in
+  let cores = Domain.recommended_domain_count () in
+  Printf.printf "  rev %s, %d cores, OCaml %s, %d reps per row\n" rev cores
+    Sys.ocaml_version generate_reps;
+  let row label median lo hi =
+    [
+      (label ^ "_us_median", Json.Num median);
+      (label ^ "_us_min", Json.Num lo);
+      (label ^ "_us_max", Json.Num hi);
+    ]
   in
-  let run =
-    Json.Obj
-      [
-        ("rev", Json.Str rev);
-        ("cores", Json.Num (float_of_int cores));
-        ("ocaml", Json.Str Sys.ocaml_version);
-        ("reps", Json.Num (float_of_int generate_reps));
-        ("seed", Json.Num (float_of_int seed));
-        ("suts", Json.Arr per_sut);
-      ]
+  let per_sut =
+    List.map
+      (fun (sut : Suts.Sut.t) ->
+        let serialize set =
+          match Conferr.Engine.serialize_config sut set with
+          | Ok files -> Some files
+          | Error _ -> None
+        in
+        let base =
+          match Conferr.Engine.parse_default_config sut with
+          | Ok base -> base
+          | Error msg -> failwith msg
+        in
+        let stock = Option.get (serialize base) in
+        let typo =
+          Conferr.Campaign.typo_scenarios
+            ~rng:(Conferr_util.Rng.create seed)
+            ~faultload:Conferr.Campaign.paper_faultload sut base
+          |> List.filter_map (fun (s : Errgen.Scenario.t) ->
+                 match s.apply base with Ok set -> serialize set | Error _ -> None)
+        in
+        let boot_all configs () =
+          List.iter (fun files -> ignore (Conferr.Engine.boot_and_test sut files)) configs
+        in
+        let per_boot n (median, lo, hi) =
+          let n = float_of_int n in
+          (median /. n, lo /. n, hi /. n)
+        in
+        let s_med, s_lo, s_hi =
+          spread ~reps:generate_reps ~scale:1e6
+            (boot_all (List.init stock_boots (fun _ -> stock)))
+          |> per_boot stock_boots
+        in
+        let n = List.length typo in
+        let t_med, t_lo, t_hi =
+          spread ~reps:generate_reps ~scale:1e6 (boot_all typo) |> per_boot n
+        in
+        Printf.printf
+          "  %-10s stock %7.2f us (min %.2f, max %.2f)   typo x%-4d %7.2f us (min %.2f, max %.2f)\n%!"
+          sut.sut_name s_med s_lo s_hi n t_med t_lo t_hi;
+        Json.Obj
+          ((("sut", Json.Str sut.sut_name) :: row "stock" s_med s_lo s_hi)
+          @ (("typo_scenarios", Json.Num (float_of_int n)) :: row "typo" t_med t_lo t_hi)))
+      Suts.Catalog.all
   in
-  write_artifact path
-    (Json.Obj [ ("bench", Json.Str "generate"); ("runs", Json.Arr (earlier @ [ run ])) ]);
+  record_run ~bench:"boot" ~rev ~cores ~reps:generate_reps per_sut;
   print_newline ()
 
 (* Each measured section is addressable on its own — `bench/main.exe
-   serve` (or generate, executor, sandbox, tracer, adaptive, lint, infer)
+   serve` (or generate, boot, executor, sandbox, tracer, adaptive, lint, infer)
    regenerates just that section and its BENCH_*.json artifact without
    the (slow) full sweep. *)
 let sections =
   [
     ("generate", print_generate);
+    ("boot", print_boot);
     ("executor", print_executor_scaling);
     ("sandbox", print_sandbox_overhead);
     ("tracer", print_tracer_overhead);
