@@ -1273,7 +1273,7 @@ let print_boot () =
   let cores = Domain.recommended_domain_count () in
   Printf.printf "  rev %s, %d cores, OCaml %s, %d reps per row\n" rev cores
     Sys.ocaml_version generate_reps;
-  let row label median lo hi =
+  let row label (median, lo, hi) =
     [
       (label ^ "_us_median", Json.Num median);
       (label ^ "_us_min", Json.Num lo);
@@ -1301,28 +1301,22 @@ let print_boot () =
           |> List.filter_map (fun (s : Errgen.Scenario.t) ->
                  match s.apply base with Ok set -> serialize set | Error _ -> None)
         in
-        let boot_all configs () =
-          List.iter (fun files -> ignore (Conferr.Engine.boot_and_test sut files)) configs
+        (* microseconds per boot over one pass through [configs] *)
+        let per_boot configs =
+          spread ~reps:generate_reps
+            ~scale:(1e6 /. float_of_int (List.length configs))
+            (fun () ->
+              List.iter (fun files -> ignore (Conferr.Engine.boot_and_test sut files)) configs)
         in
-        let per_boot n (median, lo, hi) =
-          let n = float_of_int n in
-          (median /. n, lo /. n, hi /. n)
-        in
-        let s_med, s_lo, s_hi =
-          spread ~reps:generate_reps ~scale:1e6
-            (boot_all (List.init stock_boots (fun _ -> stock)))
-          |> per_boot stock_boots
-        in
+        let (s_med, s_lo, s_hi) as s = per_boot (List.init stock_boots (fun _ -> stock)) in
+        let (t_med, t_lo, t_hi) as t = per_boot typo in
         let n = List.length typo in
-        let t_med, t_lo, t_hi =
-          spread ~reps:generate_reps ~scale:1e6 (boot_all typo) |> per_boot n
-        in
         Printf.printf
           "  %-10s stock %7.2f us (min %.2f, max %.2f)   typo x%-4d %7.2f us (min %.2f, max %.2f)\n%!"
           sut.sut_name s_med s_lo s_hi n t_med t_lo t_hi;
         Json.Obj
-          ((("sut", Json.Str sut.sut_name) :: row "stock" s_med s_lo s_hi)
-          @ (("typo_scenarios", Json.Num (float_of_int n)) :: row "typo" t_med t_lo t_hi)))
+          ((("sut", Json.Str sut.sut_name) :: row "stock" s)
+          @ (("typo_scenarios", Json.Num (float_of_int n)) :: row "typo" t)))
       Suts.Catalog.all
   in
   record_run ~bench:"boot" ~rev ~cores ~reps:generate_reps per_sut;
